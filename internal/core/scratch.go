@@ -8,11 +8,11 @@ import (
 )
 
 // Scratch holds the reusable buffers behind the allocation-lean protocol
-// variants (MakeReportsInto, RunInto, RunAdaptiveInto). A Scratch belongs to
-// exactly one goroutine at a time — parallel engines allocate one per
-// worker. Results returned by the Into variants alias Scratch storage and
-// remain valid only until the next call that uses the same Scratch; copy
-// what must outlive the cell.
+// variants (MakeReportsInto, RunInto, RunAdaptiveInto,
+// EstimateVarianceInto). A Scratch belongs to exactly one goroutine at a
+// time — parallel engines give one to each worker. Results returned by the
+// Into variants alias Scratch storage and remain valid only until the next
+// call that uses the same Scratch; copy what must outlive the cell.
 //
 // The Into variants consume the identical RNG stream and perform the
 // identical floating-point arithmetic as their allocating counterparts, so
@@ -28,13 +28,29 @@ type Scratch struct {
 	perm       []int
 	round1     []uint64
 	round2     []uint64
+	// EstimateVarianceInto's phase split, kept apart from the adaptive
+	// rounds above because its phases are the inputs RunAdaptiveInto
+	// splits into them.
+	varPerm        []int
+	phase1, phase2 []uint64
 
 	res, res1, res2, pooled Result
 
-	// GeometricProbs cache: sweeps re-run one (bits, gamma) shape per cell.
-	geomProbs []float64
-	geomBits  int
-	geomGamma float64
+	// GeometricProbs cache, filled round-robin: sweeps re-run the same few
+	// (bits, gamma) shapes in every cell.
+	geom     [geomCacheSize]geomEntry
+	geomNext int
+}
+
+// geomCacheSize is how many GeometricProbs shapes a Scratch keeps. A
+// variance cell asks for four: γ = 0.5 and γ = 1, each at the value depth
+// and at the doubled depth of the squares.
+const geomCacheSize = 4
+
+type geomEntry struct {
+	bits  int
+	gamma float64
+	probs []float64
 }
 
 // resizeF returns s with length n, reusing capacity.
@@ -87,20 +103,24 @@ func resetResult(res *Result, bits int) {
 }
 
 // GeometricProbs caches core.GeometricProbs(bits, gamma); sweeps call it
-// with the same shape for every repetition. The returned slice aliases s
-// and must not be mutated.
+// with the same few shapes for every repetition. The returned slice aliases
+// s and must not be mutated.
 func (s *Scratch) GeometricProbs(bits int, gamma float64) ([]float64, error) {
 	// The cache key is the exact bit pattern of gamma, not a numeric
 	// tolerance: two gammas that differ in any bit produce different
 	// probability tables and must not share an entry.
-	if s.geomProbs != nil && s.geomBits == bits && math.Float64bits(s.geomGamma) == math.Float64bits(gamma) {
-		return s.geomProbs, nil
+	for i := range s.geom {
+		e := &s.geom[i]
+		if e.probs != nil && e.bits == bits && math.Float64bits(e.gamma) == math.Float64bits(gamma) {
+			return e.probs, nil
+		}
 	}
 	p, err := GeometricProbs(bits, gamma)
 	if err != nil {
 		return nil, err
 	}
-	s.geomProbs, s.geomBits, s.geomGamma = p, bits, gamma
+	s.geom[s.geomNext] = geomEntry{bits: bits, gamma: gamma, probs: p}
+	s.geomNext = (s.geomNext + 1) % geomCacheSize
 	return p, nil
 }
 

@@ -67,13 +67,7 @@ func (c *VarianceConfig) runMean(bits int, values []uint64, r *frand.RNG) (float
 		if err != nil {
 			return 0, err
 		}
-		res, err := Run(Config{
-			Bits:            bits,
-			Probs:           probs,
-			RR:              c.Adaptive.RR,
-			Randomness:      c.Adaptive.Randomness,
-			SquashThreshold: c.Adaptive.SquashThreshold,
-		}, values, r)
+		res, err := Run(c.singleRound(bits, probs), values, r)
 		if err != nil {
 			return 0, err
 		}
@@ -86,6 +80,40 @@ func (c *VarianceConfig) runMean(bits int, values []uint64, r *frand.RNG) (float
 		return 0, err
 	}
 	return res.Estimate, nil
+}
+
+// runMeanInto is runMean through RunInto and RunAdaptiveInto on s: the
+// same draws and the same estimate.
+func (c *VarianceConfig) runMeanInto(bits int, values []uint64, r *frand.RNG, s *Scratch) (float64, error) {
+	var res *Result
+	var err error
+	if c.SingleRoundGamma > 0 {
+		var probs []float64
+		if probs, err = s.GeometricProbs(bits, c.SingleRoundGamma); err != nil {
+			return 0, err
+		}
+		res, err = RunInto(c.singleRound(bits, probs), values, r, s)
+	} else {
+		acfg := c.Adaptive
+		acfg.Bits = bits
+		res, err = RunAdaptiveInto(acfg, values, r, s)
+	}
+	if err != nil {
+		return 0, err
+	}
+	return res.Estimate, nil
+}
+
+// singleRound is the weighted single-round protocol runMean runs when
+// SingleRoundGamma is set.
+func (c *VarianceConfig) singleRound(bits int, probs []float64) Config {
+	return Config{
+		Bits:            bits,
+		Probs:           probs,
+		RR:              c.Adaptive.RR,
+		Randomness:      c.Adaptive.Randomness,
+		SquashThreshold: c.Adaptive.SquashThreshold,
+	}
 }
 
 func (c *VarianceConfig) meanFraction() float64 {
@@ -104,30 +132,31 @@ func (c *VarianceConfig) squaredBits() int {
 	return sb
 }
 
-// EstimateVariance estimates the population variance of the encoded values
-// with at most one transmitted bit per client: each client participates in
-// exactly one of the two phases.
-func EstimateVariance(cfg VarianceConfig, values []uint64, r *frand.RNG) (float64, error) {
-	if err := checkBits(cfg.Bits); err != nil {
+// phase1Size validates the configuration for n clients and returns how
+// many of them estimate the mean (or first moment) in phase 1.
+func (c *VarianceConfig) phase1Size(n int) (int, error) {
+	if err := checkBits(c.Bits); err != nil {
 		return 0, err
 	}
-	if f := cfg.meanFraction(); !(f > 0 && f < 1) {
-		return 0, fmt.Errorf("%w: MeanFraction=%v", ErrInput, cfg.MeanFraction)
+	if f := c.meanFraction(); !(f > 0 && f < 1) {
+		return 0, fmt.Errorf("%w: MeanFraction=%v", ErrInput, c.MeanFraction)
 	}
-	n := len(values)
 	if n < 4 {
 		return 0, fmt.Errorf("%w: variance estimation needs at least 4 clients, got %d", ErrInput, n)
 	}
-	n1 := int(math.Round(cfg.meanFraction() * float64(n)))
+	n1 := int(math.Round(c.meanFraction() * float64(n)))
 	if n1 < 2 {
 		n1 = 2
 	}
 	if n1 > n-2 {
 		n1 = n - 2
 	}
-	perm := r.Perm(n)
-	phase1 := make([]uint64, n1)
-	phase2 := make([]uint64, n-n1)
+	return n1, nil
+}
+
+// splitPhases deals values into phase1 and phase2 in the order of perm.
+func splitPhases(values []uint64, perm []int, phase1, phase2 []uint64) {
+	n1 := len(phase1)
 	for i, idx := range perm {
 		if i < n1 {
 			phase1[i] = values[idx]
@@ -135,41 +164,84 @@ func EstimateVariance(cfg VarianceConfig, values []uint64, r *frand.RNG) (float6
 			phase2[i-n1] = values[idx]
 		}
 	}
+}
 
-	switch cfg.Method {
+// fromPhases runs the Lemma 3.5 decomposition over the two disjoint
+// phases, estimating each inner mean with mean. phase2 is overwritten with
+// the squared quantities its clients bit-push.
+func (c *VarianceConfig) fromPhases(phase1, phase2 []uint64, mean func(bits int, values []uint64) (float64, error)) (float64, error) {
+	sb := c.squaredBits()
+	switch c.Method {
 	case MomentVariance:
 		// E[X] from phase 1 at depth b; E[X²] from phase 2 at depth 2b.
-		mean, err := cfg.runMean(cfg.Bits, phase1, r)
+		m, err := mean(c.Bits, phase1)
 		if err != nil {
 			return 0, err
 		}
-		sqValues := make([]uint64, len(phase2))
 		for i, v := range phase2 {
-			sqValues[i] = squareCapped(v, cfg.squaredBits())
+			phase2[i] = squareCapped(v, sb)
 		}
-		meanSq, err := cfg.runMean(cfg.squaredBits(), sqValues, r)
+		meanSq, err := mean(sb, phase2)
 		if err != nil {
 			return 0, err
 		}
-		return meanSq - mean*mean, nil
+		return meanSq - m*m, nil
 
 	case CenteredVariance:
 		// Phase 1 estimates the mean; phase 2 bit-pushes squared
 		// deviations from that broadcast estimate.
-		mu, err := cfg.runMean(cfg.Bits, phase1, r)
+		mu, err := mean(c.Bits, phase1)
 		if err != nil {
 			return 0, err
 		}
-		devValues := make([]uint64, len(phase2))
 		for i, v := range phase2 {
 			d := float64(v) - mu
-			devValues[i] = clampToBits(d*d, cfg.squaredBits())
+			phase2[i] = clampToBits(d*d, sb)
 		}
-		return cfg.runMean(cfg.squaredBits(), devValues, r)
+		return mean(sb, phase2)
 
 	default:
-		return 0, fmt.Errorf("%w: unknown variance method %d", ErrInput, cfg.Method)
+		return 0, fmt.Errorf("%w: unknown variance method %d", ErrInput, c.Method)
 	}
+}
+
+// EstimateVariance estimates the population variance of the encoded values
+// with at most one transmitted bit per client: each client participates in
+// exactly one of the two phases.
+func EstimateVariance(cfg VarianceConfig, values []uint64, r *frand.RNG) (float64, error) {
+	n1, err := cfg.phase1Size(len(values))
+	if err != nil {
+		return 0, err
+	}
+	n := len(values)
+	phase1 := make([]uint64, n1)
+	phase2 := make([]uint64, n-n1)
+	splitPhases(values, r.Perm(n), phase1, phase2)
+	return cfg.fromPhases(phase1, phase2, func(bits int, values []uint64) (float64, error) {
+		return cfg.runMean(bits, values, r)
+	})
+}
+
+// EstimateVarianceInto is EstimateVariance reusing the Scratch's buffers:
+// the same estimate from the same RNG stream. The phase split keeps its
+// own buffers, apart from the ones RunAdaptiveInto splits its rounds
+// into, and the inner mean estimations run through RunInto and
+// RunAdaptiveInto, so once s is warm the only allocations left are the
+// adaptive protocol's learned round-2 probabilities.
+func EstimateVarianceInto(cfg VarianceConfig, values []uint64, r *frand.RNG, s *Scratch) (float64, error) {
+	n1, err := cfg.phase1Size(len(values))
+	if err != nil {
+		return 0, err
+	}
+	n := len(values)
+	s.varPerm = resizeInts(s.varPerm, n)
+	r.PermInto(s.varPerm)
+	s.phase1 = resizeU(s.phase1, n1)
+	s.phase2 = resizeU(s.phase2, n-n1)
+	splitPhases(values, s.varPerm, s.phase1, s.phase2)
+	return cfg.fromPhases(s.phase1, s.phase2, func(bits int, values []uint64) (float64, error) {
+		return cfg.runMeanInto(bits, values, r, s)
+	})
 }
 
 // squareCapped squares v, clipping to the given bit depth.

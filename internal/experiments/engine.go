@@ -35,18 +35,28 @@ func newEngineMetrics(reg *obs.Registry) *engineMetrics {
 	}
 }
 
+// scratchPool keeps worker Scratches warm across runCells calls, so a
+// run of several figures sizes its buffers once, not once per sweep.
+// Nothing a Scratch carries over can change a result: every Into variant
+// overwrites the buffers it reads, and the GeometricProbs cache is keyed
+// by the exact shape.
+var scratchPool = sync.Pool{New: func() any { return new(core.Scratch) }}
+
 // runCells executes fn(cell, scratch) for every cell in [0, n) across a
-// pool of workers. Each worker owns one core.Scratch; fn must confine
-// itself to cell-indexed data (its own pre-split RNG, its own output slot)
-// so that execution order cannot influence results — determinism across
-// worker counts is the engine's contract, enforced by tests and by the
-// fedlint rngshare analyzer (no *frand.RNG may cross a goroutine).
+// pool of workers. Each worker holds one core.Scratch from scratchPool for
+// the whole call; fn must confine itself to cell-indexed data (its own
+// pre-split RNG, its own output slot) and copy out of the Scratch what
+// outlives the cell, so that execution order cannot influence results —
+// determinism across worker counts is the engine's contract, enforced by
+// tests and by the fedlint rngshare analyzer (no *frand.RNG may cross a
+// goroutine).
 func runCells(n, workers int, m *engineMetrics, fn func(cell int, s *core.Scratch)) {
 	if workers > n {
 		workers = n
 	}
 	if workers <= 1 {
-		s := new(core.Scratch)
+		s := scratchPool.Get().(*core.Scratch)
+		defer scratchPool.Put(s)
 		for ci := 0; ci < n; ci++ {
 			runCell(ci, s, m, fn)
 		}
@@ -58,7 +68,8 @@ func runCells(n, workers int, m *engineMetrics, fn func(cell int, s *core.Scratc
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			s := new(core.Scratch)
+			s := scratchPool.Get().(*core.Scratch)
+			defer scratchPool.Put(s)
 			for ci := range jobs {
 				runCell(ci, s, m, fn)
 			}

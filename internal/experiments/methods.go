@@ -239,9 +239,11 @@ func (m LaplaceMethod) EstimateMean(values []uint64, bits int, r *frand.RNG) (fl
 }
 
 // VarEstimator is the variance analogue of Method, for Figures 1b and 2b.
+// EstimateVariance receives the executing worker's core.Scratch, which an
+// estimator may reuse or ignore.
 type VarEstimator interface {
 	Name() string
-	EstimateVariance(values []uint64, bits int, r *frand.RNG) (float64, error)
+	EstimateVariance(values []uint64, bits int, r *frand.RNG, s *core.Scratch) (float64, error)
 }
 
 // BPVariance estimates variance via bit-pushing (Lemma 3.5). A zero
@@ -260,18 +262,18 @@ func (m BPVariance) Name() string {
 	return "adaptive"
 }
 
-// EstimateVariance implements VarEstimator.
-func (m BPVariance) EstimateVariance(values []uint64, bits int, r *frand.RNG) (float64, error) {
+// EstimateVariance implements VarEstimator via core.EstimateVarianceInto.
+func (m BPVariance) EstimateVariance(values []uint64, bits int, r *frand.RNG, s *core.Scratch) (float64, error) {
 	rr, err := rrFor(m.Eps)
 	if err != nil {
 		return 0, err
 	}
-	return core.EstimateVariance(core.VarianceConfig{
+	return core.EstimateVarianceInto(core.VarianceConfig{
 		Bits:             bits,
 		Method:           m.Method,
 		SingleRoundGamma: m.SingleRoundGamma,
 		Adaptive:         core.AdaptiveConfig{RR: rr},
-	}, values, r)
+	}, values, r, s)
 }
 
 // DitherVariance is the dithering baseline applied to variance estimation.
@@ -282,8 +284,8 @@ type DitherVariance struct {
 // Name implements VarEstimator.
 func (m DitherVariance) Name() string { return "dithering" }
 
-// EstimateVariance implements VarEstimator.
-func (m DitherVariance) EstimateVariance(values []uint64, bits int, r *frand.RNG) (float64, error) {
+// EstimateVariance implements VarEstimator; it has no use for the Scratch.
+func (m DitherVariance) EstimateVariance(values []uint64, bits int, r *frand.RNG, _ *core.Scratch) (float64, error) {
 	bound := float64(uint64(1) << uint(bits))
 	var d *dither.Dithering
 	var err error

@@ -210,10 +210,7 @@ func runVarianceSweep(xs []float64, pop population, methods []VarEstimator, opts
 	fns := make([]estimate, len(methods))
 	for i, m := range methods {
 		names[i] = m.Name()
-		ev := m.EstimateVariance
-		fns[i] = func(values []uint64, bits int, r *frand.RNG, _ *core.Scratch) (float64, error) {
-			return ev(values, bits, r)
-		}
+		fns[i] = m.EstimateVariance
 	}
 	return runSweep(xs, pop, names, fns, fixedpoint.Variance, opts)
 }

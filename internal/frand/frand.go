@@ -10,7 +10,10 @@
 // a deployment must substitute a CSPRNG.
 package frand
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // RNG is a deterministic pseudo-random number generator (xoshiro256**).
 // It is not safe for concurrent use; derive per-goroutine streams with Split.
@@ -102,28 +105,16 @@ func (r *RNG) Uint64n(n uint64) uint64 {
 	}
 	// Lemire multiply-shift with rejection: accept when the low half of the
 	// 128-bit product clears (2^64 - n) % n, which removes modulo bias.
-	thresh := -n % n
-	for {
-		hi, lo := mul64(r.Uint64(), n)
-		if lo >= thresh {
-			return hi
+	// That threshold is below n, so a low half of at least n is accepted
+	// without computing it: the division runs on at most n/2^64 of draws.
+	hi, lo := bits.Mul64(r.Uint64(), n)
+	if lo < n {
+		thresh := -n % n
+		for lo < thresh {
+			hi, lo = bits.Mul64(r.Uint64(), n)
 		}
 	}
-}
-
-// mul64 returns the 128-bit product of x and y as (hi, lo).
-func mul64(x, y uint64) (hi, lo uint64) {
-	const mask32 = 1<<32 - 1
-	x0, x1 := x&mask32, x>>32
-	y0, y1 := y&mask32, y>>32
-	w0 := x0 * y0
-	t := x1*y0 + w0>>32
-	w1 := t & mask32
-	w2 := t >> 32
-	w1 += x0 * y1
-	hi = x1*y1 + w2 + w1>>32
-	lo = x * y
-	return
+	return hi
 }
 
 // Bool returns true with probability 1/2.

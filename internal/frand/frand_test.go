@@ -108,6 +108,106 @@ func TestUint64nPowerOfTwo(t *testing.T) {
 	}
 }
 
+// refUint64n is Uint64n as it was before the nearly-divisionless form:
+// the threshold division runs on every call and the 128-bit product comes
+// from the portable mul64 below, independent of math/bits. The optimized
+// Uint64n must make the same accept/reject decisions and so consume the
+// same draws.
+func refUint64n(r *RNG, n uint64) uint64 {
+	if n&(n-1) == 0 {
+		return r.Uint64() & (n - 1)
+	}
+	thresh := -n % n
+	for {
+		hi, lo := mul64(r.Uint64(), n)
+		if lo >= thresh {
+			return hi
+		}
+	}
+}
+
+// mul64 returns the 128-bit product of x and y as (hi, lo).
+func mul64(x, y uint64) (hi, lo uint64) {
+	const mask32 = 1<<32 - 1
+	x0, x1 := x&mask32, x>>32
+	y0, y1 := y&mask32, y>>32
+	w0 := x0 * y0
+	t := x1*y0 + w0>>32
+	w1 := t & mask32
+	w2 := t >> 32
+	w1 += x0 * y1
+	hi = x1*y1 + w2 + w1>>32
+	lo = x * y
+	return
+}
+
+// refShuffleInts is ShuffleInts drawing through refUint64n.
+func refShuffleInts(r *RNG, p []int) {
+	for i := len(p) - 1; i > 0; i-- {
+		j := int(refUint64n(r, uint64(i+1)))
+		p[i], p[j] = p[j], p[i]
+	}
+}
+
+// TestUint64nMatchesReference pins Uint64n draw for draw to the
+// divide-every-draw reference, including the RNG state it leaves behind.
+// The large bounds reject often (2^63+1 rejects almost half of all
+// draws), so the rejection loop is exercised as well as the fast accept.
+func TestUint64nMatchesReference(t *testing.T) {
+	bounds := []uint64{1, 2, 3, 7, 10001, 1<<32 + 1, 1 << 63, 1<<63 + 1, math.MaxUint64}
+	pick := New(77)
+	for i := 0; i < 16; i++ {
+		bounds = append(bounds, pick.Uint64()>>uint(pick.Uint64()%64)|1)
+	}
+	for _, seed := range []uint64{0, 1, 2, 42, 0xdeadbeef} {
+		for _, n := range bounds {
+			got, want := New(seed), New(seed)
+			for k := 0; k < 2000; k++ {
+				g, w := got.Uint64n(n), refUint64n(want, n)
+				if g != w {
+					t.Fatalf("seed %d, n %d, draw %d: Uint64n = %d, reference %d", seed, n, k, g, w)
+				}
+			}
+			if *got != *want {
+				t.Fatalf("seed %d, n %d: RNG state differs from the reference's after 2000 draws", seed, n)
+			}
+		}
+	}
+}
+
+// TestShuffleMatchesReference checks that PermInto and ShuffleInts, whose
+// Fisher-Yates loop draws a fresh bound per element, shuffle exactly as
+// the reference does.
+func TestShuffleMatchesReference(t *testing.T) {
+	for _, seed := range []uint64{1, 9, 12345} {
+		for _, n := range []int{0, 1, 2, 17, 1000, 4097} {
+			got, want := New(seed), New(seed)
+			p := make([]int, n)
+			got.PermInto(p)
+			q := make([]int, n)
+			for i := range q {
+				q[i] = i
+			}
+			refShuffleInts(want, q)
+			for i := range p {
+				if p[i] != q[i] {
+					t.Fatalf("seed %d, n %d: PermInto[%d] = %d, reference %d", seed, n, i, p[i], q[i])
+				}
+			}
+			got.ShuffleInts(p)
+			refShuffleInts(want, q)
+			for i := range p {
+				if p[i] != q[i] {
+					t.Fatalf("seed %d, n %d: ShuffleInts[%d] = %d, reference %d", seed, n, i, p[i], q[i])
+				}
+			}
+			if *got != *want {
+				t.Fatalf("seed %d, n %d: RNG state differs from the reference's", seed, n)
+			}
+		}
+	}
+}
+
 func TestMul64(t *testing.T) {
 	cases := []struct {
 		x, y, hi, lo uint64
